@@ -13,7 +13,7 @@
 //! for circuits whose diagrams blow past the node budget; prefer
 //! [`prove`] wherever BDDs fit (they do for everything this crate
 //! builds). The exhaustive sweep runs on the bit-parallel
-//! [`PackedSimulator`] split across cores by [`par::Executor`], yet
+//! [`PackedSimulator`] split across cores by [`parx::Executor`], yet
 //! returns exactly what the old scalar loop returned (the *lowest*
 //! differing pattern) regardless of thread count.
 //!
@@ -27,14 +27,13 @@
 //! the symbolic result, and the workhorse behind the measured speedups
 //! in EXPERIMENTS.md.
 //!
-//! [`par::Executor`]: crate::par::Executor
 //! [`PackedSimulator`]: crate::PackedSimulator
 
 use crate::bdd::{interleaved_order, Bdd, BddRef, NodeLimitExceeded};
 use crate::netlist::Netlist;
 use crate::packed::{exhaustive_input_words, PackedSimulator, LANES};
-use crate::par::Executor;
 use crate::sim::Simulator;
+use parx::Executor;
 // audit:allow(par-reduce, import feeds the pruning hint in exhaustive_mismatch; the result reduction is the Executor's in-order fold)
 use std::sync::atomic::{AtomicU64, Ordering};
 

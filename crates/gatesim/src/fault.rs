@@ -39,9 +39,9 @@
 use crate::builders::AdderPorts;
 use crate::gate::GateKind;
 use crate::netlist::{Netlist, NodeId};
-use crate::par::Executor;
 use crate::sim::Simulator;
 use crate::timing::DelayModel;
+use parx::Executor;
 
 /// Minimal deterministic generator (SplitMix64) for fault sampling.
 ///

@@ -18,9 +18,9 @@
 //! * [`PackedSimulator`] — the bit-parallel backend: 64 input patterns
 //!   per `u64` word per gate, output- and toggle-identical to
 //!   [`Simulator`], used by every exhaustive sweep in the workspace.
-//! * [`par`] — deterministic scoped-thread executor, re-exported from the
-//!   shared `parx` crate; all parallel sweeps (equivalence checks,
-//!   fault campaigns, energy traces) are bit-identical to serial runs.
+//! * [`parx::Executor`] (from the shared `parx` crate) runs every
+//!   parallel sweep (equivalence checks, fault campaigns, energy traces)
+//!   bit-identically to a serial run.
 //! * [`EnergyModel`] — maps toggle counts to (relative) dynamic energy and
 //!   adds a leakage term, using per-gate capacitances proportional to
 //!   transistor counts.
@@ -85,11 +85,5 @@ pub use gate::GateKind;
 pub use lint::{LintConfig, LintDiagnostic, LintPass, LintReport, Severity};
 pub use netlist::{Netlist, Node, NodeId};
 pub use packed::PackedSimulator;
-pub use par::Executor;
-/// Deterministic parallel execution, re-exported from the shared
-/// [`parx`] crate (the executor graduated out of gatesim once the
-/// online solver paths started using it too). `gatesim::par::...`
-/// paths keep working; new code should depend on `parx` directly.
-pub use parx as par;
 pub use sim::Simulator;
 pub use stats::ActivityReport;

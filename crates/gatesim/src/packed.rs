@@ -54,8 +54,8 @@ use crate::energy::EnergyModel;
 use crate::error::SimulateError;
 use crate::gate::GateKind;
 use crate::netlist::Netlist;
-use crate::par::Executor;
 use crate::stats::ActivityReport;
+use parx::Executor;
 
 /// Number of patterns (lanes) carried per machine word.
 pub const LANES: usize = 64;
@@ -313,7 +313,7 @@ pub fn pack_vectors<V: AsRef<[bool]>>(vectors: &[V], num_inputs: usize) -> Vec<u
 /// the vector *preceding* it as a toggle-free baseline, so every
 /// adjacent-vector transition is charged exactly once and the summed
 /// counts are bit-identical to a serial scalar run, for any thread
-/// count (see the determinism rules in [`par`](crate::par)).
+/// count (see the determinism rules in [`parx`]).
 ///
 /// # Errors
 /// Returns [`SimulateError::InputLengthMismatch`] if any vector's

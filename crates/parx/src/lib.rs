@@ -58,75 +58,33 @@ use std::sync::Mutex;
 /// CI determinism experiments and for pinning benchmarks).
 pub const THREADS_ENV: &str = "APPROXIT_THREADS";
 
-/// Deprecated spelling of [`THREADS_ENV`] from when the executor lived
-/// inside `gatesim`. Still honored (with a one-time warning on stderr)
-/// so existing CI configurations keep working; [`THREADS_ENV`] wins
-/// when both are set.
-pub const LEGACY_THREADS_ENV: &str = "GATESIM_THREADS";
-
-/// Parse one thread-count override variable, naming `var` in errors:
-/// `Ok(None)` when unset, the worker count when set to a positive
-/// integer, and a descriptive error for anything else. A silent
-/// fallback here would let a typo (`APPROXIT_THREADS=axll`) or a zero
-/// quietly change the parallel schedule under a benchmark, so invalid
-/// values are rejected rather than ignored.
-///
-/// # Errors
-///
-/// Empty strings, non-numeric values, and `0` are all rejected.
-pub fn parse_threads_var(var: &str, value: Option<&str>) -> Result<Option<usize>, String> {
-    let Some(raw) = value else { return Ok(None) };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Err(format!(
-            "{var} is set but empty; unset it or use a positive integer"
-        ));
-    }
-    match trimmed.parse::<usize>() {
-        Ok(0) => Err(format!(
-            "{var}=0 is invalid: at least one worker is required"
-        )),
-        Ok(n) => Ok(Some(n)),
-        Err(_) => Err(format!(
-            "{var}={trimmed:?} is not a positive integer worker count"
-        )),
-    }
-}
-
-/// Parse a [`THREADS_ENV`] override (the primary variable). Kept as the
-/// hardened single-variable entry point; see [`resolve_threads_env`]
-/// for the two-variable precedence used by [`Executor::new`].
+/// Parse a [`THREADS_ENV`] override: `Ok(None)` when unset, the worker
+/// count when set to a positive integer, and a descriptive error for
+/// anything else. A silent fallback here would let a typo
+/// (`APPROXIT_THREADS=axll`) or a zero quietly change the parallel
+/// schedule under a benchmark, so invalid values are rejected rather
+/// than ignored.
 ///
 /// # Errors
 ///
 /// Empty strings, non-numeric values, and `0` are all rejected.
 pub fn parse_threads_env(value: Option<&str>) -> Result<Option<usize>, String> {
-    parse_threads_var(THREADS_ENV, value)
-}
-
-/// Resolve the worker-count override from both environment variables.
-///
-/// Precedence: [`THREADS_ENV`] wins whenever it is set — including when
-/// it is set to an *invalid* value (a broken primary override must fail
-/// loudly, not fall back to the legacy variable). [`LEGACY_THREADS_ENV`]
-/// is consulted only when the primary is unset; using it still works
-/// but is reported via the second tuple element so callers can warn.
-///
-/// Returns `(worker_count_override, used_legacy_variable)`.
-///
-/// # Errors
-///
-/// Whichever variable ends up consulted is validated with the same
-/// hardened rules as [`parse_threads_env`]; errors name that variable.
-pub fn resolve_threads_env(
-    primary: Option<&str>,
-    legacy: Option<&str>,
-) -> Result<(Option<usize>, bool), String> {
-    if primary.is_some() {
-        return Ok((parse_threads_var(THREADS_ENV, primary)?, false));
+    let Some(raw) = value else { return Ok(None) };
+    let trimmed = raw.trim();
+    if trimmed.is_empty() {
+        return Err(format!(
+            "{THREADS_ENV} is set but empty; unset it or use a positive integer"
+        ));
     }
-    let choice = parse_threads_var(LEGACY_THREADS_ENV, legacy)?;
-    Ok((choice, choice.is_some()))
+    match trimmed.parse::<usize>() {
+        Ok(0) => Err(format!(
+            "{THREADS_ENV}=0 is invalid: at least one worker is required"
+        )),
+        Ok(n) => Ok(Some(n)),
+        Err(_) => Err(format!(
+            "{THREADS_ENV}={trimmed:?} is not a positive integer worker count"
+        )),
+    }
 }
 
 /// A fixed-width thread pool policy for scoped parallel sweeps.
@@ -148,26 +106,19 @@ impl Default for Executor {
 
 impl Executor {
     /// An executor sized to the machine: [`std::thread::available_parallelism`],
-    /// overridable via the [`THREADS_ENV`] environment variable (or the
-    /// deprecated [`LEGACY_THREADS_ENV`], which warns once on stderr).
+    /// overridable via the [`THREADS_ENV`] environment variable.
     ///
     /// # Panics
     ///
-    /// Panics with a descriptive message when the consulted variable is
-    /// set to something other than a positive integer — a misconfigured
+    /// Panics with a descriptive message when [`THREADS_ENV`] is set to
+    /// something other than a positive integer — a misconfigured
     /// environment must fail loudly, not silently change the schedule.
     #[must_use]
     pub fn new() -> Self {
         let default = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let primary = std::env::var(THREADS_ENV).ok();
-        let legacy = std::env::var(LEGACY_THREADS_ENV).ok();
-        let threads = match resolve_threads_env(primary.as_deref(), legacy.as_deref()) {
-            Ok((choice, used_legacy)) => {
-                if used_legacy {
-                    warn_legacy_env_once();
-                }
-                choice.unwrap_or(default)
-            }
+        let value = std::env::var(THREADS_ENV).ok();
+        let threads = match parse_threads_env(value.as_deref()) {
+            Ok(choice) => choice.unwrap_or(default),
             Err(message) => panic!("{message}"),
         };
         Self { threads }
@@ -298,16 +249,6 @@ impl Executor {
             }
         });
     }
-}
-
-fn warn_legacy_env_once() {
-    static WARN: std::sync::Once = std::sync::Once::new();
-    WARN.call_once(|| {
-        eprintln!(
-            "warning: {LEGACY_THREADS_ENV} is deprecated; use {THREADS_ENV} instead \
-             (the old name is still honored, but {THREADS_ENV} wins when both are set)"
-        );
-    });
 }
 
 /// Derive a statistically independent seed for `attempt` of `request`
@@ -459,37 +400,5 @@ mod tests {
         assert!(parse_threads_env(Some("0"))
             .unwrap_err()
             .contains("at least one worker"));
-    }
-
-    #[test]
-    fn resolve_prefers_primary_over_legacy() {
-        // Primary alone.
-        assert_eq!(resolve_threads_env(Some("4"), None), Ok((Some(4), false)));
-        // Legacy alone: honored, but flagged for the deprecation warning.
-        assert_eq!(resolve_threads_env(None, Some("3")), Ok((Some(3), true)));
-        // Both set: primary wins and the legacy value is ignored entirely.
-        assert_eq!(
-            resolve_threads_env(Some("4"), Some("9")),
-            Ok((Some(4), false))
-        );
-        // Neither set.
-        assert_eq!(resolve_threads_env(None, None), Ok((None, false)));
-    }
-
-    #[test]
-    fn resolve_fails_loudly_on_the_variable_it_consulted() {
-        // An invalid primary must error even when a valid legacy value is
-        // available — falling back would mask the typo.
-        let err = resolve_threads_env(Some("zero"), Some("2")).unwrap_err();
-        assert!(err.contains(THREADS_ENV), "{err}");
-        // An invalid legacy (with no primary) errors under its own name.
-        let err = resolve_threads_env(None, Some("0")).unwrap_err();
-        assert!(err.contains(LEGACY_THREADS_ENV), "{err}");
-        // A valid primary shadows a *broken* legacy value: the legacy
-        // variable is never consulted, so its garbage cannot bite.
-        assert_eq!(
-            resolve_threads_env(Some("2"), Some("junk")),
-            Ok((Some(2), false))
-        );
     }
 }

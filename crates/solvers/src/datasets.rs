@@ -289,6 +289,100 @@ pub fn ring_with_chords(n: usize, chords: usize, seed: u64) -> CsrMatrix {
     CsrMatrix::from_triplets(n, n, &triplets)
 }
 
+/// Sources `f` for the 2-D Poisson problem `−Δu = f` on the unit
+/// square with homogeneous Dirichlet boundaries — the finite-difference
+/// PDE workload the paper's introduction motivates.
+///
+/// [`rhs`](Self::rhs) turns a source into the right-hand side of the
+/// unscaled 5-point system [`CsrMatrix::poisson5`]`(n, n)`, so any
+/// operator solver (Jacobi, multigrid, CG) runs the PDE.
+///
+/// # Example
+///
+/// ```
+/// use approx_arith::ExactContext;
+/// use approx_linalg::CsrMatrix;
+/// use iter_solvers::datasets::{sine_solution, PoissonSource};
+/// use iter_solvers::{IterativeMethod, Jacobi};
+///
+/// let n = 15;
+/// let b = PoissonSource::Sine { amplitude: 8.0 }.rhs(n);
+/// let pde = Jacobi::new(CsrMatrix::poisson5(n, n), b, 0.8, 1e-7, 2000);
+/// let mut ctx = ExactContext::new();
+/// let mut u = pde.initial_state();
+/// for _ in 0..500 {
+///     u = pde.step(&u, &mut ctx);
+/// }
+/// // The center value approaches the analytic peak (8.0).
+/// let center = (n * n) / 2;
+/// assert!((u[center] - sine_solution(n, 8.0)[center]).abs() < 0.5);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum PoissonSource {
+    /// `f(x, y) = 2π²·amplitude·sin(πx)sin(πy)` — the smooth benchmark
+    /// with the closed-form solution [`sine_solution`].
+    Sine {
+        /// Peak of the analytic solution.
+        amplitude: f64,
+    },
+    /// A point load at the grid node nearest `(x, y)`.
+    Point {
+        /// Load position, in `[0, 1]²`.
+        x: f64,
+        /// Load position, in `[0, 1]²`.
+        y: f64,
+        /// Load strength.
+        strength: f64,
+    },
+}
+
+impl PoissonSource {
+    /// The right-hand side `b = h²·f` on the `n × n` interior grid
+    /// (row-major, `h = 1/(n+1)`), matching [`CsrMatrix::poisson5`]`(n, n)`.
+    ///
+    /// # Panics
+    /// Panics if `n` is 0.
+    #[must_use]
+    pub fn rhs(self, n: usize) -> Vec<f64> {
+        assert!(n > 0, "grid must be non-empty");
+        let h = 1.0 / (n + 1) as f64;
+        match self {
+            Self::Sine { amplitude } => {
+                let scale = 2.0 * std::f64::consts::PI * std::f64::consts::PI * h * h;
+                sine_solution(n, amplitude)
+                    .into_iter()
+                    .map(|u| scale * u)
+                    .collect()
+            }
+            Self::Point { x, y, strength } => {
+                let mut b = vec![0.0; n * n];
+                let j = ((x / h).round() as usize).clamp(1, n) - 1;
+                let i = ((y / h).round() as usize).clamp(1, n) - 1;
+                // f = strength/h² at one node, so h²·f = strength.
+                b[i * n + j] = strength;
+                b
+            }
+        }
+    }
+}
+
+/// The analytic solution `amplitude·sin(πx)sin(πy)` of
+/// [`PoissonSource::Sine`], sampled on the `n × n` interior grid
+/// (row-major) — the reference for the true discretization error.
+#[must_use]
+pub fn sine_solution(n: usize, amplitude: f64) -> Vec<f64> {
+    let pi = std::f64::consts::PI;
+    let h = 1.0 / (n + 1) as f64;
+    let mut u = vec![0.0; n * n];
+    for i in 0..n {
+        for j in 0..n {
+            let (x, y) = ((j + 1) as f64 * h, (i + 1) as f64 * h);
+            u[i * n + j] = amplitude * (pi * x).sin() * (pi * y).sin();
+        }
+    }
+    u
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

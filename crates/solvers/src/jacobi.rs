@@ -1,13 +1,13 @@
 //! Damped Jacobi iteration over any [`LinearOperator`].
 //!
-//! The algebraic counterpart of the geometric
-//! [`PoissonJacobi`](crate::PoissonJacobi): instead of hard-coding the
-//! 5-point stencil it reads the operator's
-//! [`diagonal`](LinearOperator::diagonal) probe and runs
-//! `x ← x + ω·D⁻¹(b − Ax)` with the matvec, the residual and the
-//! update all on the arithmetic context. Jacobi converges whenever the
-//! damped iteration matrix contracts (e.g. strictly diagonally dominant
-//! systems) and is the smoother of choice inside multigrid.
+//! Reads the operator's [`diagonal`](LinearOperator::diagonal) probe
+//! and runs `x ← x + ω·D⁻¹(b − Ax)` with the matvec, the residual and
+//! the update all on the arithmetic context. Jacobi converges whenever
+//! the damped iteration matrix contracts (e.g. strictly diagonally
+//! dominant systems) and is the smoother of choice inside multigrid.
+//! On [`CsrMatrix::poisson5`](approx_linalg::CsrMatrix::poisson5) with
+//! a [`PoissonSource`](crate::datasets::PoissonSource) right-hand side
+//! it is the finite-difference PDE solver.
 
 use approx_arith::ArithContext;
 use approx_linalg::{vector, LinearOperator};
@@ -132,6 +132,11 @@ impl<A: LinearOperator> IterativeMethod for Jacobi<A> {
         vector::norm2_exact(&self.exact_residual(x))
     }
 
+    /// Exact `Ax − b`: the gradient of `½·xᵀAx − bᵀx` for symmetric `A`.
+    fn gradient(&self, x: &Vec<f64>) -> Option<Vec<f64>> {
+        Some(self.exact_residual(x).iter().map(|r| -r).collect())
+    }
+
     fn params(&self, x: &Vec<f64>) -> Vec<f64> {
         x.clone()
     }
@@ -150,11 +155,44 @@ impl<A: LinearOperator> IterativeMethod for Jacobi<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use approx_arith::{EnergyProfile, ExactContext};
+    use crate::datasets::{sine_solution, PoissonSource};
+    use approx_arith::{AccuracyLevel, EnergyProfile, ExactContext, QcsContext};
     use approx_linalg::{CsrMatrix, Matrix};
 
     fn profile() -> EnergyProfile {
         EnergyProfile::from_constants([1.0, 2.0, 3.0, 4.0, 5.0], 50.0, 100.0)
+    }
+
+    fn poisson(n: usize, source: PoissonSource, max_iterations: usize) -> Jacobi<CsrMatrix> {
+        Jacobi::new(
+            CsrMatrix::poisson5(n, n),
+            source.rhs(n),
+            0.9,
+            1e-8,
+            max_iterations,
+        )
+    }
+
+    /// Step until converged or out of budget; returns the final state
+    /// and the sweeps taken.
+    fn run(m: &Jacobi<CsrMatrix>, ctx: &mut dyn ArithContext) -> (Vec<f64>, usize) {
+        let mut state = m.initial_state();
+        for i in 0..m.max_iterations() {
+            let next = m.step(&state, ctx);
+            let done = m.converged(&state, &next);
+            state = next;
+            if done {
+                return (state, i + 1);
+            }
+        }
+        (state, m.max_iterations())
+    }
+
+    fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| (x - y).abs())
+            .fold(0.0, f64::max)
     }
 
     #[test]
@@ -193,6 +231,123 @@ mod tests {
         for (a, b) in xs.iter().zip(&xd) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    #[test]
+    fn converges_to_the_analytic_sine_solution() {
+        let pde = poisson(15, PoissonSource::Sine { amplitude: 8.0 }, 5000);
+        let mut ctx = ExactContext::with_profile(profile());
+        let (u, iters) = run(&pde, &mut ctx);
+        assert!(iters < 5000, "did not converge");
+        // Discretization error of the 5-point stencil at h = 1/16.
+        let err = max_abs_diff(&u, &sine_solution(15, 8.0));
+        assert!(err < 0.1, "max error {err}");
+    }
+
+    #[test]
+    fn residual_norm_decreases_monotonically() {
+        let pde = poisson(10, PoissonSource::Sine { amplitude: 5.0 }, 100);
+        let mut ctx = ExactContext::with_profile(profile());
+        let mut u = pde.initial_state();
+        let mut prev = pde.objective(&u);
+        for _ in 0..30 {
+            u = pde.step(&u, &mut ctx);
+            let r = pde.objective(&u);
+            assert!(r <= prev + 1e-12, "residual rose {prev} -> {r}");
+            prev = r;
+        }
+    }
+
+    #[test]
+    fn gradient_is_negated_residual_and_vanishes_at_convergence() {
+        let pde = Jacobi::new(
+            CsrMatrix::poisson5(8, 8),
+            PoissonSource::Sine { amplitude: 3.0 }.rhs(8),
+            0.9,
+            1e-10,
+            5000,
+        );
+        let mut ctx = ExactContext::with_profile(profile());
+        let start = pde.step(&pde.initial_state(), &mut ctx);
+        let g = pde.gradient(&start).expect("gradient available");
+        let r = pde.exact_residual(&start);
+        assert!(g.iter().zip(&r).all(|(gi, ri)| *gi == -ri));
+        let (u, _) = run(&pde, &mut ctx);
+        let norm = vector::norm2_exact(&pde.gradient(&u).expect("gradient available"));
+        assert!(norm < 1e-6, "gradient norm {norm}");
+    }
+
+    #[test]
+    fn point_load_produces_a_localized_bump() {
+        let source = PoissonSource::Point {
+            x: 0.5,
+            y: 0.5,
+            strength: 1.0,
+        };
+        let pde = poisson(11, source, 5000);
+        let mut ctx = ExactContext::with_profile(profile());
+        let (u, _) = run(&pde, &mut ctx);
+        let center = u[5 * 11 + 5];
+        let corner = u[0];
+        assert!(center > 0.0);
+        assert!(center > 5.0 * corner, "center {center} corner {corner}");
+    }
+
+    #[test]
+    fn approximate_sweeps_freeze_early_with_bounded_error() {
+        let pde = poisson(12, PoissonSource::Sine { amplitude: 8.0 }, 5000);
+        let mut exact = ExactContext::with_profile(profile());
+        let (u_exact, exact_iters) = run(&pde, &mut exact);
+        let mut ctx = QcsContext::with_profile(profile());
+        ctx.set_level(AccuracyLevel::Level4);
+        let (u4, iters4) = run(&pde, &mut ctx);
+        assert!(
+            iters4 < exact_iters,
+            "level4 {iters4} !< exact {exact_iters}"
+        );
+        let err = max_abs_diff(&u4, &u_exact);
+        assert!(err < 0.5, "level4 deviation {err}");
+    }
+
+    #[test]
+    fn accurate_fixed_point_sweeps_converge_above_the_quantum() {
+        // At Q15.16 the sweep ends in a period-2 cycle whose nodes move by
+        // up to 4 ulps (about 6e-5); a tolerance above that must still stop
+        // the run well inside the budget and near the analytic solution.
+        let n = 23;
+        let pde = Jacobi::new(
+            CsrMatrix::poisson5(n, n),
+            PoissonSource::Sine { amplitude: 8.0 }.rhs(n),
+            0.9,
+            1e-4,
+            5000,
+        );
+        let mut ctx = QcsContext::with_profile(profile());
+        let (u, iters) = run(&pde, &mut ctx);
+        assert!(iters < 5000, "accurate Q15.16 Jacobi hit the sweep cap");
+        let err = max_abs_diff(&u, &sine_solution(n, 8.0));
+        assert!(err < 0.05, "max error {err}");
+    }
+
+    #[test]
+    fn level1_destroys_the_field() {
+        let pde = poisson(12, PoissonSource::Sine { amplitude: 8.0 }, 200);
+        let mut ctx = QcsContext::with_profile(profile());
+        ctx.set_level(AccuracyLevel::Level1);
+        let (u1, _) = run(&pde, &mut ctx);
+        // Every update truncates to multiples of 16 > field scale: the
+        // field never leaves zero.
+        let peak = u1.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
+        assert!(
+            peak < 1.0,
+            "level1 accidentally built the field, peak {peak}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "damping must be in")]
+    fn invalid_omega_panics() {
+        let _ = Jacobi::new(CsrMatrix::poisson5(4, 4), vec![1.0; 16], 1.5, 1e-6, 10);
     }
 
     #[test]

@@ -1,9 +1,6 @@
 //! Algebraic multigrid V-cycles over [`LinearOperator`] hierarchies.
 //!
-//! The geometric [`MultigridPoisson`](crate::MultigridPoisson) hard
-//! codes the 5-point stencil, its transfers and its recursion on grid
-//! geometry. [`OperatorMultigrid`] is the operator-generic counterpart:
-//! every ingredient of the V-cycle — the per-level system, the
+//! Every ingredient of the V-cycle — the per-level system, the
 //! restriction and the prolongation — is itself a [`LinearOperator`],
 //! so the cycle is nothing but matvecs, damped-Jacobi smoothing via the
 //! [`diagonal`](LinearOperator::diagonal) probe, and slice-kernel
@@ -13,8 +10,8 @@
 use approx_arith::ArithContext;
 use approx_linalg::{vector, CsrMatrix, LinearOperator};
 
+use crate::datasets::PoissonSource;
 use crate::method::IterativeMethod;
-use crate::poisson::{PoissonJacobi, PoissonSource};
 
 /// One level of a multigrid hierarchy: the system operator plus the
 /// transfers to and from the next coarser level (`None` on the
@@ -44,7 +41,8 @@ pub struct MgLevel<A> {
 ///
 /// ```
 /// use approx_arith::ExactContext;
-/// use iter_solvers::{IterativeMethod, OperatorMultigrid, PoissonSource};
+/// use iter_solvers::datasets::PoissonSource;
+/// use iter_solvers::{IterativeMethod, OperatorMultigrid};
 ///
 /// let mg = OperatorMultigrid::poisson(15, PoissonSource::Sine { amplitude: 8.0 }, 2, 1e-7, 50);
 /// let mut ctx = ExactContext::new();
@@ -219,7 +217,7 @@ impl OperatorMultigrid<CsrMatrix> {
     /// grid (homogeneous Dirichlet): unscaled 5-point stencils at every
     /// level ([`CsrMatrix::poisson5`]), full-weighting restriction with
     /// the inter-level factor 4 folded into its weights, bilinear
-    /// prolongation, and `b = h²·f` for the given source.
+    /// prolongation, and `b` from [`PoissonSource::rhs`].
     ///
     /// # Panics
     /// Panics if `n + 1` is not a power of two (the hierarchy must
@@ -237,9 +235,7 @@ impl OperatorMultigrid<CsrMatrix> {
             (n + 1).is_power_of_two() && n >= 1,
             "grid size must be 2^k - 1 (got {n})"
         );
-        let fine = PoissonJacobi::new(n, source, 0.8, tolerance, max_iterations);
-        let h = fine.spacing();
-        let b: Vec<f64> = fine.rhs_values().iter().map(|&f| h * h * f).collect();
+        let b = source.rhs(n);
 
         let mut levels = Vec::new();
         let mut size = n;
@@ -380,10 +376,34 @@ impl<A: LinearOperator> IterativeMethod for OperatorMultigrid<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::datasets::sine_solution;
+    use crate::Jacobi;
     use approx_arith::{EnergyProfile, ExactContext};
 
     fn profile() -> EnergyProfile {
         EnergyProfile::from_constants([1.0, 2.0, 3.0, 4.0, 5.0], 50.0, 100.0)
+    }
+
+    fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| (x - y).abs())
+            .fold(0.0, f64::max)
+    }
+
+    /// Iterations until `m` converges under exact arithmetic.
+    fn iterations_to_converge(m: &impl IterativeMethod<State = Vec<f64>>) -> usize {
+        let mut ctx = ExactContext::with_profile(profile());
+        let mut state = m.initial_state();
+        for i in 0..m.max_iterations() {
+            let next = m.step(&state, &mut ctx);
+            let done = m.converged(&state, &next);
+            state = next;
+            if done {
+                return i + 1;
+            }
+        }
+        m.max_iterations()
     }
 
     #[test]
@@ -396,14 +416,36 @@ mod tests {
         for _ in 0..25 {
             u = mg.step(&u, &mut ctx);
         }
-        let fine = PoissonJacobi::new(15, PoissonSource::Sine { amplitude: 8.0 }, 0.8, 1e-8, 60);
-        let truth = fine.sine_solution(8.0);
-        let err = u
-            .iter()
-            .zip(&truth)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
+        let err = max_abs_diff(&u, &sine_solution(15, 8.0));
         assert!(err < 0.15, "max error {err}");
+    }
+
+    #[test]
+    fn multigrid_needs_far_fewer_iterations_than_jacobi() {
+        let source = PoissonSource::Sine { amplitude: 8.0 };
+        let mg = OperatorMultigrid::poisson(15, source, 2, 1e-7, 500);
+        let jacobi = Jacobi::new(CsrMatrix::poisson5(15, 15), source.rhs(15), 0.9, 1e-7, 5000);
+        let mg_iters = iterations_to_converge(&mg);
+        let jacobi_iters = iterations_to_converge(&jacobi);
+        assert!(
+            mg_iters * 5 < jacobi_iters,
+            "multigrid {mg_iters} vs jacobi {jacobi_iters}"
+        );
+    }
+
+    #[test]
+    fn restriction_and_prolongation_round_trip_smooth_fields() {
+        // Restricting then prolongating a smooth field must stay close
+        // to the original (the pair is an approximate identity on the
+        // low-frequency subspace, once the folded-in factor 4 of the
+        // restriction is divided back out).
+        let n = 15;
+        let smooth = sine_solution(n, 1.0);
+        let coarse = full_weighting(n).matvec_exact(&smooth);
+        let back = bilinear_prolongation(n).matvec_exact(&coarse);
+        let quarter: Vec<f64> = back.iter().map(|v| v / 4.0).collect();
+        let err = max_abs_diff(&smooth, &quarter);
+        assert!(err < 0.25, "round-trip error {err}");
     }
 
     #[test]

@@ -6,9 +6,20 @@
 //! ```sh
 //! cargo run -p approxit --example poisson --release
 //! ```
+//!
+//! Exits non-zero if the Truth run does not converge within its sweep
+//! budget, or misses the analytic solution by more than the 5-point
+//! stencil's discretization error allows.
+
+use std::process::ExitCode;
 
 use approxit::prelude::*;
-use iter_solvers::{ConjugateGradient, PoissonJacobi, PoissonSource};
+use iter_solvers::datasets::{sine_solution, PoissonSource};
+use iter_solvers::{ConjugateGradient, Jacobi};
+
+/// Largest acceptable max error of Truth against the analytic solution
+/// on the 23×23 grid (the discretization error there is about 1.1e-2).
+const MAX_TRUTH_ERROR: f64 = 0.05;
 
 /// Render the field as an ASCII heatmap.
 fn heatmap(u: &[f64], n: usize) -> String {
@@ -27,17 +38,21 @@ fn heatmap(u: &[f64], n: usize) -> String {
         .join("\n")
 }
 
-fn main() {
+fn main() -> ExitCode {
     let n = 23;
-    let pde = PoissonJacobi::new(n, PoissonSource::Sine { amplitude: 8.0 }, 0.9, 1e-7, 5000);
+    // −Δu = f on the unit square, as the 5-point system A·u = h²·f. The
+    // stopping tolerance sits above the Q15.16 quantum: accurate sweeps end
+    // in a period-2 cycle whose nodes move by up to 4 ulps (about 6e-5).
+    let b = PoissonSource::Sine { amplitude: 8.0 }.rhs(n);
+    let pde = Jacobi::new(CsrMatrix::poisson5(n, n), b.clone(), 0.9, 1e-4, 5000);
     let profile = EnergyProfile::paper_default();
     let table = characterize(&pde, &profile, 5);
     let mut ctx = QcsContext::with_profile(profile);
 
     let truth = RunConfig::new(&pde, &mut ctx).execute(&mut SingleMode::accurate());
     println!(
-        "Truth: {} Jacobi sweeps on a {n}x{n} grid",
-        truth.report.iterations
+        "Truth: {} Jacobi sweeps on a {n}x{n} grid (converged: {})",
+        truth.report.iterations, truth.report.converged
     );
     println!("{}\n", heatmap(&truth.state, n));
 
@@ -72,7 +87,7 @@ fn main() {
     println!("{}", heatmap(&scaled.state, n));
 
     // Report against the analytic solution too.
-    let analytic = pde.sine_solution(8.0);
+    let analytic = sine_solution(n, 8.0);
     let disc_err = truth
         .state
         .iter()
@@ -81,14 +96,9 @@ fn main() {
         .fold(0.0f64, f64::max);
     println!("\n(discretization error of Truth vs analytic solution: {disc_err:.3})");
 
-    // The same PDE through the operator-generic path: assemble the
-    // 5-point stencil as a CsrMatrix and hand it to CG. Any
-    // LinearOperator — dense, sparse, or matrix-free — plugs into the
-    // same solvers and the same controller.
-    let a = CsrMatrix::poisson5(n, n);
-    let h = pde.spacing();
-    let b: Vec<f64> = pde.rhs_values().iter().map(|&f| h * h * f).collect();
-    let cg = ConjugateGradient::new(a, b, 1e-10, 400);
+    // The same system through CG: any LinearOperator plugs into any
+    // operator solver and the same controller.
+    let cg = ConjugateGradient::new(CsrMatrix::poisson5(n, n), b, 1e-10, 400);
     let sparse = RunConfig::new(&cg, &mut ctx).execute(&mut SingleMode::accurate());
     let cg_dev = sparse
         .state
@@ -101,4 +111,17 @@ fn main() {
         "sparse CG on the CsrMatrix stencil: {} iterations, max deviation from Jacobi Truth {:.2e}",
         sparse.report.iterations, cg_dev
     );
+
+    if !truth.report.converged {
+        eprintln!(
+            "Truth did not converge within {} sweeps",
+            truth.report.iterations
+        );
+        return ExitCode::FAILURE;
+    }
+    if disc_err > MAX_TRUTH_ERROR {
+        eprintln!("Truth misses the analytic solution by {disc_err:.3} > {MAX_TRUTH_ERROR}");
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }
