@@ -90,8 +90,16 @@ fn run_kernels(ctx: &mut dyn ArithContext, seed: u64) -> Run {
     let mut buf = vec![0.0; n];
     ctx.add_slice(&xs, &ys, &mut buf);
     out.extend_from_slice(&buf);
+    ctx.sub_slice(&xs, &ys, &mut buf);
+    out.extend_from_slice(&buf);
+    ctx.scale_slice(-0.75, &xs, &mut buf);
+    out.extend_from_slice(&buf);
     ctx.axpy_slice(1.25, &xs, &ys, &mut buf);
     out.extend_from_slice(&buf);
+    let mut acc = ys.clone();
+    ctx.add_assign_slice(&mut acc, &xs);
+    ctx.axpy_assign_slice(&mut acc, -1.5, &xs);
+    out.extend_from_slice(&acc);
     let mut mv = vec![0.0; rows];
     ctx.matvec_slice(&mat, cols, &mx, &mut mv);
     out.extend_from_slice(&mv);
@@ -127,14 +135,21 @@ fn assert_runs_match(label: &str, a: &Run, b: &Run) {
 /// The headline guarantee: for every format × level, the scalar per-op
 /// path, the serial batched path, and the parallel batched path at
 /// every thread count all agree bit-for-bit on values, counts, energy.
+/// The last executor is `Executor::new()`, whose width `APPROXIT_THREADS`
+/// sets, so the suite also covers the count the environment asks for.
 #[test]
 fn kernels_are_bit_identical_across_thread_counts() {
+    let executors = THREADS
+        .map(Executor::with_threads)
+        .into_iter()
+        .chain([Executor::new()]);
+    let executors: Vec<Executor> = executors.collect();
     for (format, bits) in formats() {
         for level in LEVELS {
             let label = format!("{format} {level}");
             let scalar = run_kernels(&mut ScalarPath::new(ctx_for(format, bits, level)), 0xC0FFEE);
-            for threads in THREADS {
-                let exec = Executor::with_threads(threads);
+            for &exec in &executors {
+                let threads = exec.threads();
                 let mut ctx = ctx_for(format, bits, level).with_executor(exec);
                 let run = run_kernels(&mut ctx, 0xC0FFEE);
                 assert_runs_match(&format!("{label} threads={threads}"), &scalar, &run);
