@@ -16,8 +16,9 @@
 //! [`ArithContext::dot_slice`], …) — the granularity the solver hot
 //! loops actually work at. Every kernel has a default implementation
 //! that loops over the scalar ops, so third-party contexts keep working
-//! unchanged; the fixed-point [`QcsContext`] overrides them with tight
-//! branch-free loops over raw fixed-point words that implement each
+//! unchanged; the fixed-point [`QcsContext`] overrides them on three
+//! private kernel engines — an element-wise zip, an in-order fold and a
+//! row map — whose tight loops over raw fixed-point words implement each
 //! accuracy level's truncation semantics directly. The contract — pinned
 //! by tests in this module and by the `kernel_properties` suite — is
 //! that an override is **bit-identical** to the scalar-loop default in
@@ -496,10 +497,10 @@ impl MulMode {
     }
 }
 
-/// Stack-block length for the fused kernels' batched conversions: long
+/// Stack-block length for the engines' batched conversions: long
 /// enough to amortize loop overhead and let `to_raw_slice` vectorize,
-/// small enough that the `i64`/`f64` staging arrays stay in L1 and on
-/// the stack (no allocation inside parallel workers).
+/// small enough that the `i64` staging arrays stay in L1 and on the
+/// stack (no allocation inside parallel workers).
 const BLOCK: usize = 256;
 
 /// Fabric-op threshold below which kernels stay serial even when an
@@ -512,272 +513,182 @@ const PAR_MIN_OPS: usize = 4096;
 /// executor width (parx determinism rule 1).
 const PAR_CHUNK: usize = 4096;
 
-/// `out[i] = x[i] + y[i]` over one span, block-batched.
-fn add_span(cv: RawConverter, mode: AddMode, xs: &[f64], ys: &[f64], out: &mut [f64]) {
-    let mut ra = [0i64; BLOCK];
-    let mut rb = [0i64; BLOCK];
-    for ((xc, yc), oc) in xs
-        .chunks(BLOCK)
-        .zip(ys.chunks(BLOCK))
-        .zip(out.chunks_mut(BLOCK))
-    {
-        let n = xc.len();
-        cv.to_raw_slice(xc, &mut ra[..n]);
-        cv.to_raw_slice(yc, &mut rb[..n]);
-        mode.add_raw_slices(&mut ra[..n], &rb[..n]);
-        cv.from_raw_slice(&ra[..n], oc);
-    }
+/// An element-wise op of the zip engine, `out[i] = op(x[i], y[i])`,
+/// where `y` is either a separate operand or `out` itself (in place).
+#[derive(Debug, Clone, Copy)]
+enum Zip {
+    /// `x + y`.
+    Add,
+    /// `x + (−y)`: exact negation, then the add. Never in place.
+    Sub,
+    /// `alpha · x`; `y` is unused.
+    Scale(f64),
+    /// `alpha · x + y`.
+    Axpy(f64),
 }
 
-/// `out[i] = x[i] − y[i]` over one span: exact negation, then the add.
-fn sub_span(cv: RawConverter, mode: AddMode, xs: &[f64], ys: &[f64], out: &mut [f64]) {
-    let mut ra = [0i64; BLOCK];
-    let mut rb = [0i64; BLOCK];
-    let mut ny = [0f64; BLOCK];
-    for ((xc, yc), oc) in xs
-        .chunks(BLOCK)
-        .zip(ys.chunks(BLOCK))
-        .zip(out.chunks_mut(BLOCK))
-    {
-        let n = xc.len();
-        for (nv, &y) in ny[..n].iter_mut().zip(yc) {
-            *nv = -y;
-        }
-        cv.to_raw_slice(xc, &mut ra[..n]);
-        cv.to_raw_slice(&ny[..n], &mut rb[..n]);
-        mode.add_raw_slices(&mut ra[..n], &rb[..n]);
-        cv.from_raw_slice(&ra[..n], oc);
-    }
-}
+/// One row of the row-map engine: its stored values and, for a sparse
+/// row, their column indices (a dense row's column is its position).
+type Row<'a> = (&'a [f64], Option<&'a [usize]>);
 
-/// `y[i] = y[i] + x[i]` over one span, block-batched.
-fn add_assign_span(cv: RawConverter, mode: AddMode, ys: &mut [f64], xs: &[f64]) {
-    let mut ra = [0i64; BLOCK];
-    let mut rb = [0i64; BLOCK];
-    for (yc, xc) in ys.chunks_mut(BLOCK).zip(xs.chunks(BLOCK)) {
-        let n = yc.len();
-        cv.to_raw_slice(yc, &mut ra[..n]);
-        cv.to_raw_slice(xc, &mut rb[..n]);
-        mode.add_raw_slices(&mut ra[..n], &rb[..n]);
-        cv.from_raw_slice(&ra[..n], yc);
-    }
-}
-
-/// `out[i] = alpha · x[i]` over one span (alpha pre-converted).
-fn scale_span(cv: RawConverter, mul: MulMode, ra_alpha: i64, xs: &[f64], out: &mut [f64]) {
-    let mut rx = [0i64; BLOCK];
-    for (xc, oc) in xs.chunks(BLOCK).zip(out.chunks_mut(BLOCK)) {
-        let n = xc.len();
-        cv.to_raw_slice(xc, &mut rx[..n]);
-        for r in &mut rx[..n] {
-            *r = mul.mul_raw(ra_alpha, *r);
-        }
-        cv.from_raw_slice(&rx[..n], oc);
-    }
-}
-
-/// `out[i] = alpha · x[i] + y[i]` over one span, block-batched.
-fn axpy_span(
-    cv: RawConverter,
-    mode: AddMode,
-    mul: MulMode,
-    ra_alpha: i64,
-    xs: &[f64],
-    ys: &[f64],
-    out: &mut [f64],
-) {
-    let mut rp = [0i64; BLOCK];
-    let mut ry = [0i64; BLOCK];
-    let exact = mode.exact_roundtrip;
-    for ((xc, yc), oc) in xs
-        .chunks(BLOCK)
-        .zip(ys.chunks(BLOCK))
-        .zip(out.chunks_mut(BLOCK))
-    {
-        let n = xc.len();
-        cv.to_raw_slice(xc, &mut rp[..n]);
-        cv.to_raw_slice(yc, &mut ry[..n]);
-        for p in &mut rp[..n] {
-            let mut v = mul.mul_raw(ra_alpha, *p);
-            if !exact {
-                v = cv.to_raw(cv.from_raw(v));
-            }
-            *p = v;
-        }
-        mode.add_raw_slices(&mut rp[..n], &ry[..n]);
-        cv.from_raw_slice(&rp[..n], oc);
-    }
-}
-
-/// `y[i] = y[i] + alpha · x[i]` over one span, block-batched. The add's
-/// operand order (`y` first) matches the scalar path exactly.
-fn axpy_assign_span(
-    cv: RawConverter,
-    mode: AddMode,
-    mul: MulMode,
-    ra_alpha: i64,
-    ys: &mut [f64],
-    xs: &[f64],
-) {
-    let mut ra = [0i64; BLOCK];
-    let mut rb = [0i64; BLOCK];
-    let exact = mode.exact_roundtrip;
-    for (yc, xc) in ys.chunks_mut(BLOCK).zip(xs.chunks(BLOCK)) {
-        let n = yc.len();
-        cv.to_raw_slice(yc, &mut ra[..n]);
-        cv.to_raw_slice(xc, &mut rb[..n]);
-        for p in &mut rb[..n] {
-            let mut v = mul.mul_raw(ra_alpha, *p);
-            if !exact {
-                v = cv.to_raw(cv.from_raw(v));
-            }
-            *p = v;
-        }
-        mode.add_raw_slices(&mut ra[..n], &rb[..n]);
-        cv.from_raw_slice(&ra[..n], yc);
-    }
-}
-
-/// Partial dot reduction over one span on an exactly-round-tripping
-/// width, folded left-to-right from `init` in the masked-bits domain.
+/// The datapath constants every engine loop needs — the converter and
+/// the hoisted add and multiply — resolved once per kernel call and
+/// copied into each parallel worker.
 ///
-/// Chunked reductions merge these partials with `add_bits`, which is
-/// associative and commutative with identity 0 for *both* low-part
-/// policies (the high parts add modulo 2^(width−k); the OR'd low parts
-/// are an associative lattice join), so any chunking reproduces the
-/// serial fold bit for bit. The wide (width > 54) path round-trips the
-/// accumulator through `f64` after every step, which is *not*
-/// associative — wide reductions therefore never take this path and
-/// stay serial.
-fn dot_span_bits(
+/// The engines and their loops are `#[inline(always)]` so that each
+/// kernel override compiles to a loop specialized for its op and
+/// operand shape: out of line, one shared loop ran the Q15.16 kernels
+/// 10–20% slower.
+#[derive(Debug, Clone, Copy)]
+struct Datapath {
     cv: RawConverter,
-    mode: AddMode,
+    add: AddMode,
     mul: MulMode,
-    xs: &[f64],
-    ys: &[f64],
-    init: u64,
-) -> u64 {
-    let mut ra = [0i64; BLOCK];
-    let mut rb = [0i64; BLOCK];
-    let mut acc = init;
-    for (xc, yc) in xs.chunks(BLOCK).zip(ys.chunks(BLOCK)) {
-        let n = xc.len();
-        cv.to_raw_slice(xc, &mut ra[..n]);
-        cv.to_raw_slice(yc, &mut rb[..n]);
-        for (&a, &b) in ra[..n].iter().zip(&rb[..n]) {
-            let p = mul.mul_raw(a, b);
-            acc = mode.add_bits(acc, p as u64 & mode.mask);
-        }
-    }
-    acc
 }
 
-/// Partial sum reduction over one span in the masked-bits domain; same
-/// associativity contract as [`dot_span_bits`].
-fn sum_span_bits(cv: RawConverter, mode: AddMode, xs: &[f64], init: u64) -> u64 {
-    let mut rx = [0i64; BLOCK];
-    let mut acc = init;
-    for xc in xs.chunks(BLOCK) {
-        let n = xc.len();
-        cv.to_raw_slice(xc, &mut rx[..n]);
-        for &r in &rx[..n] {
-            acc = mode.add_bits(acc, r as u64 & mode.mask);
-        }
-    }
-    acc
-}
-
-/// Dense rows `out[r] = Σⱼ rows[r·cols + j] · rx[j]` over one row span
-/// (`rows` holds exactly `out.len()` rows). Row-partitioned parallelism
-/// is safe at *any* width: each row's left-to-right reduction runs
-/// intact inside one task.
-fn matvec_rows(
-    cv: RawConverter,
-    mode: AddMode,
-    mul: MulMode,
-    rows: &[f64],
-    cols: usize,
-    rx: &[i64],
-    out: &mut [f64],
-) {
-    let mut rr = [0i64; BLOCK];
-    if mode.exact_roundtrip {
-        for (o, row) in out.iter_mut().zip(rows.chunks_exact(cols)) {
-            let mut acc = 0u64;
-            for (rc, xc) in row.chunks(BLOCK).zip(rx.chunks(BLOCK)) {
-                let n = rc.len();
-                cv.to_raw_slice(rc, &mut rr[..n]);
-                for (&a, &bx) in rr[..n].iter().zip(xc) {
-                    let p = mul.mul_raw(a, bx);
-                    acc = mode.add_bits(acc, p as u64 & mode.mask);
-                }
-            }
-            *o = cv.from_raw(mode.sext(acc));
-        }
-    } else {
-        for (o, row) in out.iter_mut().zip(rows.chunks_exact(cols)) {
-            let mut acc: i64 = 0;
-            for (rc, xc) in row.chunks(BLOCK).zip(rx.chunks(BLOCK)) {
-                let n = rc.len();
-                cv.to_raw_slice(rc, &mut rr[..n]);
-                for (&a, &bx) in rr[..n].iter().zip(xc) {
-                    let p = cv.to_raw(cv.from_raw(mul.mul_raw(a, bx)));
-                    let bits = mode.add_bits(acc as u64 & mode.mask, p as u64 & mode.mask);
-                    acc = cv.to_raw(cv.from_raw(mode.sext(bits)));
-                }
-            }
-            *o = cv.from_raw(acc);
-        }
-    }
-}
-
-/// CSR rows `row_offset .. row_offset + out.len()` of the sparse
-/// product (same row-partitioned contract as [`matvec_rows`]).
-#[allow(clippy::too_many_arguments)]
-fn spmv_rows(
-    cv: RawConverter,
-    mode: AddMode,
-    mul: MulMode,
-    values: &[f64],
-    col_idx: &[usize],
-    row_ptr: &[usize],
-    rx: &[i64],
-    row_offset: usize,
-    out: &mut [f64],
-) {
-    let mut rv = [0i64; BLOCK];
-    for (i, o) in out.iter_mut().enumerate() {
-        let r = row_offset + i;
-        let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
-        if mode.exact_roundtrip {
-            let mut acc = 0u64;
-            for (vc, jc) in values[lo..hi]
-                .chunks(BLOCK)
-                .zip(col_idx[lo..hi].chunks(BLOCK))
-            {
-                let n = vc.len();
-                cv.to_raw_slice(vc, &mut rv[..n]);
-                for (&a, &j) in rv[..n].iter().zip(jc) {
-                    let p = mul.mul_raw(a, rx[j]);
-                    acc = mode.add_bits(acc, p as u64 & mode.mask);
-                }
-            }
-            *o = cv.from_raw(mode.sext(acc));
+impl Datapath {
+    /// The `f64` round trip a value takes between two scalar ops: the
+    /// identity on exactly-round-tripping widths, a requantization on
+    /// wide ones (raw values beyond 2⁵³ lose their low bits).
+    #[inline(always)]
+    fn requant<const EXACT: bool>(self, v: i64) -> i64 {
+        if EXACT {
+            v
         } else {
-            let mut acc: i64 = 0;
-            for (vc, jc) in values[lo..hi]
-                .chunks(BLOCK)
-                .zip(col_idx[lo..hi].chunks(BLOCK))
-            {
-                let n = vc.len();
-                cv.to_raw_slice(vc, &mut rv[..n]);
-                for (&a, &j) in rv[..n].iter().zip(jc) {
-                    let p = cv.to_raw(cv.from_raw(mul.mul_raw(a, rx[j])));
-                    let bits = mode.add_bits(acc as u64 & mode.mask, p as u64 & mode.mask);
-                    acc = cv.to_raw(cv.from_raw(mode.sext(bits)));
+            self.cv.to_raw(self.cv.from_raw(v))
+        }
+    }
+
+    /// One fold step `acc = add(acc, v)`, with the accumulator kept in
+    /// the masked-bits domain.
+    ///
+    /// On exact widths the step is a bare `add_bits`, which is
+    /// associative and commutative with identity 0 for *both* low-part
+    /// policies (the high parts add modulo 2^(width−k); the OR'd low
+    /// parts are an associative lattice join), so chunked partials
+    /// merged in chunk order reproduce the serial fold bit for bit. The
+    /// wide step round-trips the sum through `f64`, which is *not*
+    /// associative — wide folds therefore stay serial.
+    #[inline(always)]
+    fn step<const EXACT: bool>(self, acc: u64, v: i64) -> u64 {
+        let bits = self.add.add_bits(acc, v as u64 & self.add.mask);
+        if EXACT {
+            bits
+        } else {
+            self.requant::<false>(self.add.sext(bits)) as u64 & self.add.mask
+        }
+    }
+
+    /// Fold the products `a[i] · b[i]` into `acc`, the multiply fused
+    /// into the fold loop.
+    #[inline(always)]
+    fn fold_products<const EXACT: bool>(
+        self,
+        mut acc: u64,
+        a: &[i64],
+        b: impl Iterator<Item = i64>,
+    ) -> u64 {
+        for (&a, b) in a.iter().zip(b) {
+            acc = self.step::<EXACT>(acc, self.requant::<EXACT>(self.mul.mul_raw(a, b)));
+        }
+        acc
+    }
+
+    /// The zip engine's loop over one span, block-batched: `y` is
+    /// `ys`, or `out` itself when `ys` is `None`.
+    #[inline(always)]
+    fn zip(self, op: Zip, xs: &[f64], ys: Option<&[f64]>, out: &mut [f64]) {
+        let mut rx = [0i64; BLOCK];
+        let mut ry = [0i64; BLOCK];
+        let (alpha, add) = match op {
+            Zip::Add | Zip::Sub => (None, true),
+            Zip::Scale(a) => (Some(self.cv.to_raw(a)), false),
+            Zip::Axpy(a) => (Some(self.cv.to_raw(a)), true),
+        };
+        // An axpy's product passes through f64 on its way to the add.
+        let requant = add && !self.add.exact_roundtrip;
+        for (b, (xc, oc)) in xs.chunks(BLOCK).zip(out.chunks_mut(BLOCK)).enumerate() {
+            let s = b * BLOCK..b * BLOCK + xc.len();
+            let (rx, ry) = (&mut rx[..xc.len()], &mut ry[..xc.len()]);
+            match (op, ys) {
+                (Zip::Scale(_), _) => {}
+                // Sub stages −y in the output block, which the result
+                // overwrites below.
+                (Zip::Sub, Some(ys)) => {
+                    for (o, &y) in oc.iter_mut().zip(&ys[s]) {
+                        *o = -y;
+                    }
+                    self.cv.to_raw_slice(oc, ry);
+                }
+                (_, Some(ys)) => self.cv.to_raw_slice(&ys[s], ry),
+                (_, None) => self.cv.to_raw_slice(oc, ry),
+            }
+            self.cv.to_raw_slice(xc, rx);
+            if let Some(ra) = alpha {
+                for p in rx.iter_mut() {
+                    let v = self.mul.mul_raw(ra, *p);
+                    *p = if requant { self.requant::<false>(v) } else { v };
                 }
             }
-            *o = cv.from_raw(acc);
+            // The QCS add is commutative, so `x` first costs no bits.
+            if add {
+                self.add.add_raw_slices(rx, ry);
+            }
+            self.cv.from_raw_slice(rx, oc);
+        }
+    }
+
+    /// The fold engine's loop over one span: the masked-bits fold from
+    /// 0 of `x[i] · y[i]` (dot) or of `x[i]` (sum, `ys` is `None`).
+    #[inline(always)]
+    fn fold<const EXACT: bool>(self, xs: &[f64], ys: Option<&[f64]>) -> u64 {
+        let mut ra = [0i64; BLOCK];
+        let mut rb = [0i64; BLOCK];
+        let mut acc = 0;
+        for (b, xc) in xs.chunks(BLOCK).enumerate() {
+            let s = b * BLOCK..b * BLOCK + xc.len();
+            let (ra, rb) = (&mut ra[..xc.len()], &mut rb[..xc.len()]);
+            self.cv.to_raw_slice(xc, ra);
+            acc = match ys {
+                Some(ys) => {
+                    self.cv.to_raw_slice(&ys[s], rb);
+                    self.fold_products::<EXACT>(acc, ra, rb.iter().copied())
+                }
+                None => ra.iter().fold(acc, |acc, &v| self.step::<EXACT>(acc, v)),
+            };
+        }
+        acc
+    }
+
+    /// The row-map engine's loop over rows `r0 .. r0 + out.len()`: each
+    /// row is folded like a dot product against the pre-converted `rx`,
+    /// intact inside one call.
+    #[inline(always)]
+    fn rows<'a, const EXACT: bool>(
+        self,
+        rx: &[i64],
+        r0: usize,
+        out: &mut [f64],
+        row: &impl Fn(usize) -> Row<'a>,
+    ) {
+        let mut ra = [0i64; BLOCK];
+        for (r, o) in (r0..).zip(out.iter_mut()) {
+            let (values, cols) = row(r);
+            let mut acc = 0;
+            for (b, vc) in values.chunks(BLOCK).enumerate() {
+                let s = b * BLOCK..b * BLOCK + vc.len();
+                let ra = &mut ra[..vc.len()];
+                self.cv.to_raw_slice(vc, ra);
+                // Gathering x[j] is exact index arithmetic: only the
+                // product and the reduction touch the fabric.
+                acc = match cols {
+                    None => self.fold_products::<EXACT>(acc, ra, rx[s].iter().copied()),
+                    Some(cols) => {
+                        self.fold_products::<EXACT>(acc, ra, cols[s].iter().map(|&j| rx[j]))
+                    }
+                };
+            }
+            *o = self.cv.from_raw(self.add.sext(acc));
         }
     }
 }
@@ -796,12 +707,15 @@ fn spmv_rows(
 /// bit-exactly — which is why the paper can use convergence tolerances
 /// (e.g. 10⁻¹³) far below the datapath resolution.
 ///
-/// The slice kernels are overridden with raw-word loops that convert
-/// once per slice, hoist the level dispatch, and charge the meters in
-/// one integer bump — bit-identical to the scalar path but several times
-/// faster (see `bench --bin solverperf`). When an operand trace is being
-/// recorded the kernels fall back to the per-op path so the trace stays
-/// exactly what the scalar semantics would record.
+/// The slice kernels are overridden on three engines, one per loop
+/// shape: a zip (add, sub, scale, axpy and their in-place forms), a
+/// fold (dot, sum) and a row map (matvec, spmv). Each engine works on
+/// raw fixed-point words, converts in stack blocks, hoists the level
+/// dispatch, and charges the meters in one integer bump — bit-identical
+/// to the scalar path but several times faster (see
+/// `bench --bin solverperf`). When an operand trace is being recorded
+/// the engines fall back to the per-op path so the trace stays exactly
+/// what the scalar semantics would record.
 ///
 /// # Example
 ///
@@ -962,6 +876,133 @@ impl QcsContext {
     pub fn trace(&self) -> Option<&[(u64, u64)]> {
         self.trace.as_ref().map(|t| t.pairs.as_slice())
     }
+
+    /// Charge `muls` multiplies and `adds` adds at the current level in
+    /// one integer bump.
+    fn charge(&mut self, muls: usize, adds: usize) {
+        self.muls += muls as u64;
+        self.add_counts[self.level.index()] += adds as u64;
+    }
+
+    fn datapath(&self) -> Datapath {
+        Datapath {
+            cv: self.format.converter(),
+            add: self.mode,
+            mul: self.mul_mode,
+        }
+    }
+
+    /// The zip engine: `out[i] = op(x[i], y[i])` with `y = ys`, or
+    /// `y = out` (in place) when `ys` is `None`. Chunks of `PAR_CHUNK`
+    /// elements are independent, so it parallelizes at any width.
+    #[inline(always)]
+    fn zip(&mut self, op: Zip, xs: &[f64], ys: Option<&[f64]>, out: &mut [f64]) {
+        if self.trace.is_some() {
+            for (i, o) in out.iter_mut().enumerate() {
+                let x = match op {
+                    Zip::Add | Zip::Sub => xs[i],
+                    Zip::Scale(a) | Zip::Axpy(a) => self.mul(a, xs[i]),
+                };
+                *o = match (op, ys) {
+                    (Zip::Scale(_), _) => x,
+                    (Zip::Sub, Some(ys)) => self.sub(x, ys[i]),
+                    (_, Some(ys)) => self.add(x, ys[i]),
+                    (_, None) => self.add(*o, x),
+                };
+            }
+            return;
+        }
+        let n = out.len();
+        match op {
+            Zip::Add | Zip::Sub => self.charge(0, n),
+            Zip::Scale(_) => self.charge(n, 0),
+            Zip::Axpy(_) => self.charge(n, n),
+        }
+        let dp = self.datapath();
+        match self.par_exec(n) {
+            Some(exec) => exec.for_each_chunk(out, PAR_CHUNK, |ci, oc| {
+                let s = ci * PAR_CHUNK..ci * PAR_CHUNK + oc.len();
+                dp.zip(op, &xs[s.clone()], ys.map(|ys| &ys[s]), oc);
+            }),
+            None => dp.zip(op, xs, ys, out),
+        }
+    }
+
+    /// The fold engine: `Σ x[i] · y[i]` (dot) or `Σ x[i]` (sum, `ys` is
+    /// `None`), left to right from 0. On exact widths the fold may be
+    /// chunked across workers, the partials merged in chunk order (see
+    /// [`Datapath::step`]).
+    #[inline(always)]
+    fn fold(&mut self, xs: &[f64], ys: Option<&[f64]>) -> f64 {
+        if self.trace.is_some() {
+            let mut acc = 0.0;
+            for (i, &x) in xs.iter().enumerate() {
+                let v = ys.map_or(x, |ys| self.mul(x, ys[i]));
+                acc = self.add(acc, v);
+            }
+            return acc;
+        }
+        self.charge(ys.map_or(0, <[f64]>::len), xs.len());
+        let dp = self.datapath();
+        let bits = match self.par_exec(xs.len()) {
+            Some(exec) if dp.add.exact_roundtrip => exec
+                .map_chunks(xs.len() as u64, PAR_CHUNK as u64, |s, e| {
+                    let s = s as usize..e as usize;
+                    dp.fold::<true>(&xs[s.clone()], ys.map(|ys| &ys[s]))
+                })
+                .into_iter()
+                .fold(0, |acc, p| dp.add.add_bits(acc, p)),
+            _ if dp.add.exact_roundtrip => dp.fold::<true>(xs, ys),
+            _ => dp.fold::<false>(xs, ys),
+        };
+        dp.cv.from_raw(dp.add.sext(bits))
+    }
+
+    /// The row-map engine: `out[r] = Σ values[i] · x[col(i)]` over the
+    /// `nnz` stored entries of `row(r)`, each row folded like a dot
+    /// product. `x` is converted once for all rows. Row-partitioned
+    /// parallelism is safe at any width, since each row's fold runs
+    /// intact inside one task; rows per chunk follow from the mean
+    /// stored entries per row, a function of the matrix only.
+    #[inline(always)]
+    fn row_map<'a>(
+        &mut self,
+        x: &[f64],
+        out: &mut [f64],
+        nnz: usize,
+        row: impl Fn(usize) -> Row<'a> + Sync,
+    ) {
+        if self.trace.is_some() {
+            for (r, o) in out.iter_mut().enumerate() {
+                let (values, cols) = row(r);
+                let mut acc = 0.0;
+                for (i, &a) in values.iter().enumerate() {
+                    let p = self.mul(a, x[cols.map_or(i, |c| c[i])]);
+                    acc = self.add(acc, p);
+                }
+                *o = acc;
+            }
+            return;
+        }
+        self.charge(nnz, nnz);
+        let dp = self.datapath();
+        let mut rx = vec![0i64; x.len()];
+        dp.cv.to_raw_slice(x, &mut rx);
+        let rows = |r0: usize, oc: &mut [f64]| {
+            if dp.add.exact_roundtrip {
+                dp.rows::<true>(&rx, r0, oc, &row);
+            } else {
+                dp.rows::<false>(&rx, r0, oc, &row);
+            }
+        };
+        match self.par_exec(nnz) {
+            Some(exec) => {
+                let rpc = (PAR_CHUNK / (nnz / out.len().max(1)).max(1)).max(1);
+                exec.for_each_chunk(out, rpc, |ci, oc| rows(ci * rpc, oc));
+            }
+            None => rows(0, out),
+        }
+    }
 }
 
 impl ArithContext for QcsContext {
@@ -1057,232 +1098,51 @@ impl ArithContext for QcsContext {
     fn add_slice(&mut self, xs: &[f64], ys: &[f64], out: &mut [f64]) {
         assert_eq!(xs.len(), ys.len(), "slice lengths must match");
         assert_eq!(xs.len(), out.len(), "slice lengths must match");
-        if self.trace.is_some() {
-            for ((o, &x), &y) in out.iter_mut().zip(xs).zip(ys) {
-                *o = self.add(x, y);
-            }
-            return;
-        }
-        self.add_counts[self.level.index()] += xs.len() as u64;
-        let cv = self.format.converter();
-        let mode = self.mode;
-        if let Some(exec) = self.par_exec(xs.len()) {
-            exec.for_each_chunk(out, PAR_CHUNK, |ci, oc| {
-                let s = ci * PAR_CHUNK;
-                add_span(cv, mode, &xs[s..s + oc.len()], &ys[s..s + oc.len()], oc);
-            });
-        } else {
-            add_span(cv, mode, xs, ys, out);
-        }
+        self.zip(Zip::Add, xs, Some(ys), out);
     }
 
     fn sub_slice(&mut self, xs: &[f64], ys: &[f64], out: &mut [f64]) {
         assert_eq!(xs.len(), ys.len(), "slice lengths must match");
         assert_eq!(xs.len(), out.len(), "slice lengths must match");
-        if self.trace.is_some() {
-            for ((o, &x), &y) in out.iter_mut().zip(xs).zip(ys) {
-                *o = self.sub(x, y);
-            }
-            return;
-        }
-        self.add_counts[self.level.index()] += xs.len() as u64;
-        let cv = self.format.converter();
-        let mode = self.mode;
-        if let Some(exec) = self.par_exec(xs.len()) {
-            exec.for_each_chunk(out, PAR_CHUNK, |ci, oc| {
-                let s = ci * PAR_CHUNK;
-                sub_span(cv, mode, &xs[s..s + oc.len()], &ys[s..s + oc.len()], oc);
-            });
-        } else {
-            sub_span(cv, mode, xs, ys, out);
-        }
+        self.zip(Zip::Sub, xs, Some(ys), out);
     }
 
     fn scale_slice(&mut self, alpha: f64, xs: &[f64], out: &mut [f64]) {
         assert_eq!(xs.len(), out.len(), "slice lengths must match");
-        self.muls += xs.len() as u64;
-        let cv = self.format.converter();
-        let mul = self.mul_mode;
-        let ra = cv.to_raw(alpha);
-        if let Some(exec) = self.par_exec(xs.len()) {
-            exec.for_each_chunk(out, PAR_CHUNK, |ci, oc| {
-                let s = ci * PAR_CHUNK;
-                scale_span(cv, mul, ra, &xs[s..s + oc.len()], oc);
-            });
-        } else {
-            scale_span(cv, mul, ra, xs, out);
-        }
+        self.zip(Zip::Scale(alpha), xs, None, out);
     }
 
     fn axpy_slice(&mut self, alpha: f64, xs: &[f64], ys: &[f64], out: &mut [f64]) {
         assert_eq!(xs.len(), ys.len(), "slice lengths must match");
         assert_eq!(xs.len(), out.len(), "slice lengths must match");
-        if self.trace.is_some() {
-            for ((o, &x), &y) in out.iter_mut().zip(xs).zip(ys) {
-                let p = self.mul(alpha, x);
-                *o = self.add(p, y);
-            }
-            return;
-        }
-        self.muls += xs.len() as u64;
-        self.add_counts[self.level.index()] += xs.len() as u64;
-        let cv = self.format.converter();
-        let mode = self.mode;
-        let mul = self.mul_mode;
-        let ra = cv.to_raw(alpha);
-        if let Some(exec) = self.par_exec(xs.len()) {
-            exec.for_each_chunk(out, PAR_CHUNK, |ci, oc| {
-                let s = ci * PAR_CHUNK;
-                axpy_span(
-                    cv,
-                    mode,
-                    mul,
-                    ra,
-                    &xs[s..s + oc.len()],
-                    &ys[s..s + oc.len()],
-                    oc,
-                );
-            });
-        } else {
-            axpy_span(cv, mode, mul, ra, xs, ys, out);
-        }
+        self.zip(Zip::Axpy(alpha), xs, Some(ys), out);
     }
 
     fn add_assign_slice(&mut self, ys: &mut [f64], xs: &[f64]) {
         assert_eq!(xs.len(), ys.len(), "slice lengths must match");
-        if self.trace.is_some() {
-            for (y, &x) in ys.iter_mut().zip(xs) {
-                *y = self.add(*y, x);
-            }
-            return;
-        }
-        self.add_counts[self.level.index()] += xs.len() as u64;
-        let cv = self.format.converter();
-        let mode = self.mode;
-        if let Some(exec) = self.par_exec(xs.len()) {
-            exec.for_each_chunk(ys, PAR_CHUNK, |ci, yc| {
-                let s = ci * PAR_CHUNK;
-                add_assign_span(cv, mode, yc, &xs[s..s + yc.len()]);
-            });
-        } else {
-            add_assign_span(cv, mode, ys, xs);
-        }
+        self.zip(Zip::Add, xs, None, ys);
     }
 
     fn axpy_assign_slice(&mut self, ys: &mut [f64], alpha: f64, xs: &[f64]) {
         assert_eq!(xs.len(), ys.len(), "slice lengths must match");
-        if self.trace.is_some() {
-            for (y, &x) in ys.iter_mut().zip(xs) {
-                let p = self.mul(alpha, x);
-                *y = self.add(*y, p);
-            }
-            return;
-        }
-        self.muls += xs.len() as u64;
-        self.add_counts[self.level.index()] += xs.len() as u64;
-        let cv = self.format.converter();
-        let mode = self.mode;
-        let mul = self.mul_mode;
-        let ra = cv.to_raw(alpha);
-        if let Some(exec) = self.par_exec(xs.len()) {
-            exec.for_each_chunk(ys, PAR_CHUNK, |ci, yc| {
-                let s = ci * PAR_CHUNK;
-                axpy_assign_span(cv, mode, mul, ra, yc, &xs[s..s + yc.len()]);
-            });
-        } else {
-            axpy_assign_span(cv, mode, mul, ra, ys, xs);
-        }
+        self.zip(Zip::Axpy(alpha), xs, None, ys);
     }
 
     fn dot_slice(&mut self, xs: &[f64], ys: &[f64]) -> f64 {
         assert_eq!(xs.len(), ys.len(), "dot operands must have equal length");
-        if self.trace.is_some() {
-            let mut acc = 0.0;
-            for (&x, &y) in xs.iter().zip(ys) {
-                let p = self.mul(x, y);
-                acc = self.add(acc, p);
-            }
-            return acc;
-        }
-        self.muls += xs.len() as u64;
-        self.add_counts[self.level.index()] += xs.len() as u64;
-        let cv = self.format.converter();
-        let mode = self.mode;
-        let mul = self.mul_mode;
-        if mode.exact_roundtrip {
-            // The bits→raw→f64→raw→bits round-trip between fused ops is
-            // the identity here, so the accumulator never has to leave
-            // the masked-bits domain — and the bits-domain add is
-            // associative (see `dot_span_bits`), so the reduction may be
-            // chunked across workers and merged in chunk order.
-            let acc_bits = if let Some(exec) = self.par_exec(xs.len()) {
-                let partials = exec.map_chunks(xs.len() as u64, PAR_CHUNK as u64, |s, e| {
-                    let (s, e) = (s as usize, e as usize);
-                    dot_span_bits(cv, mode, mul, &xs[s..e], &ys[s..e], 0)
-                });
-                partials
-                    .into_iter()
-                    .fold(0u64, |acc, p| mode.add_bits(acc, p))
-            } else {
-                dot_span_bits(cv, mode, mul, xs, ys, 0)
-            };
-            cv.from_raw(mode.sext(acc_bits))
-        } else {
-            // Wide path: the per-step f64 round-trip is not associative,
-            // so the fold stays serial (block-batched conversions only).
-            let mut ra = [0i64; BLOCK];
-            let mut rb = [0i64; BLOCK];
-            let mut acc: i64 = 0;
-            for (xc, yc) in xs.chunks(BLOCK).zip(ys.chunks(BLOCK)) {
-                let n = xc.len();
-                cv.to_raw_slice(xc, &mut ra[..n]);
-                cv.to_raw_slice(yc, &mut rb[..n]);
-                for (&a, &b) in ra[..n].iter().zip(&rb[..n]) {
-                    let p = cv.to_raw(cv.from_raw(mul.mul_raw(a, b)));
-                    let bits = mode.add_bits(acc as u64 & mode.mask, p as u64 & mode.mask);
-                    acc = cv.to_raw(cv.from_raw(mode.sext(bits)));
-                }
-            }
-            cv.from_raw(acc)
-        }
+        self.fold(xs, Some(ys))
+    }
+
+    fn sum_slice(&mut self, xs: &[f64]) -> f64 {
+        self.fold(xs, None)
     }
 
     fn matvec_slice(&mut self, rows: &[f64], cols: usize, x: &[f64], out: &mut [f64]) {
         assert_eq!(x.len(), cols, "vector length must equal column count");
         assert_eq!(rows.len(), cols * out.len(), "matrix shape mismatch");
-        if cols == 0 {
-            out.fill(0.0);
-            return;
-        }
-        if self.trace.is_some() {
-            for (o, row) in out.iter_mut().zip(rows.chunks_exact(cols)) {
-                *o = self.dot_slice(row, x);
-            }
-            return;
-        }
-        let n = rows.len() as u64;
-        self.muls += n;
-        self.add_counts[self.level.index()] += n;
-        let cv = self.format.converter();
-        let mode = self.mode;
-        let mul = self.mul_mode;
-        // The shared vector is converted exactly once; every row's
-        // reduction then reuses the raw words.
-        let mut rx = vec![0i64; x.len()];
-        cv.to_raw_slice(x, &mut rx);
-        if let Some(exec) = self.par_exec(rows.len()) {
-            // Row-partitioned: each chunk of output rows is one task, so
-            // every row's reduction runs intact inside a single worker —
-            // safe at any width. Rows per chunk depend only on the shape.
-            let rpc = (PAR_CHUNK / cols).max(1);
-            exec.for_each_chunk(out, rpc, |ci, oc| {
-                let r0 = ci * rpc;
-                let span = &rows[r0 * cols..(r0 + oc.len()) * cols];
-                matvec_rows(cv, mode, mul, span, cols, &rx, oc);
-            });
-        } else {
-            matvec_rows(cv, mode, mul, rows, cols, &rx, out);
-        }
+        self.row_map(x, out, rows.len(), |r| {
+            (&rows[r * cols..(r + 1) * cols], None)
+        });
     }
 
     fn spmv_slice(
@@ -1294,82 +1154,10 @@ impl ArithContext for QcsContext {
         out: &mut [f64],
     ) {
         check_csr_shape(values, col_idx, row_ptr, out.len());
-        if self.trace.is_some() {
-            for (r, o) in out.iter_mut().enumerate() {
-                let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
-                let mut acc = 0.0;
-                for (&a, &j) in values[lo..hi].iter().zip(&col_idx[lo..hi]) {
-                    let p = self.mul(a, x[j]);
-                    acc = self.add(acc, p);
-                }
-                *o = acc;
-            }
-            return;
-        }
-        let nnz = values.len() as u64;
-        self.muls += nnz;
-        self.add_counts[self.level.index()] += nnz;
-        let cv = self.format.converter();
-        let mode = self.mode;
-        let mul = self.mul_mode;
-        // The shared vector is converted exactly once; every stored
-        // entry's product then reuses the raw words. (Gathering x[j] is
-        // exact index arithmetic — only the product and the reduction
-        // touch the fabric.)
-        let mut rx = vec![0i64; x.len()];
-        cv.to_raw_slice(x, &mut rx);
-        if let Some(exec) = self.par_exec(values.len()) {
-            // Row-partitioned like matvec: rows per chunk derive from
-            // the mean stored entries per row — a function of the matrix
-            // only, so the chunking (and hence every row's task) is the
-            // same for every thread count.
-            let mean_nnz = (values.len() / out.len().max(1)).max(1);
-            let rpc = (PAR_CHUNK / mean_nnz).max(1);
-            exec.for_each_chunk(out, rpc, |ci, oc| {
-                spmv_rows(cv, mode, mul, values, col_idx, row_ptr, &rx, ci * rpc, oc);
-            });
-        } else {
-            spmv_rows(cv, mode, mul, values, col_idx, row_ptr, &rx, 0, out);
-        }
-    }
-
-    fn sum_slice(&mut self, xs: &[f64]) -> f64 {
-        if self.trace.is_some() {
-            let mut acc = 0.0;
-            for &x in xs {
-                acc = self.add(acc, x);
-            }
-            return acc;
-        }
-        self.add_counts[self.level.index()] += xs.len() as u64;
-        let cv = self.format.converter();
-        let mode = self.mode;
-        if mode.exact_roundtrip {
-            // Same chunked-reduction contract as `dot_slice`.
-            let acc_bits = if let Some(exec) = self.par_exec(xs.len()) {
-                let partials = exec.map_chunks(xs.len() as u64, PAR_CHUNK as u64, |s, e| {
-                    sum_span_bits(cv, mode, &xs[s as usize..e as usize], 0)
-                });
-                partials
-                    .into_iter()
-                    .fold(0u64, |acc, p| mode.add_bits(acc, p))
-            } else {
-                sum_span_bits(cv, mode, xs, 0)
-            };
-            cv.from_raw(mode.sext(acc_bits))
-        } else {
-            let mut rx = [0i64; BLOCK];
-            let mut acc: i64 = 0;
-            for xc in xs.chunks(BLOCK) {
-                let n = xc.len();
-                cv.to_raw_slice(xc, &mut rx[..n]);
-                for &r in &rx[..n] {
-                    let bits = mode.add_bits(acc as u64 & mode.mask, r as u64 & mode.mask);
-                    acc = cv.to_raw(cv.from_raw(mode.sext(bits)));
-                }
-            }
-            cv.from_raw(acc)
-        }
+        self.row_map(x, out, values.len(), |r| {
+            let s = row_ptr[r]..row_ptr[r + 1];
+            (&values[s.clone()], Some(&col_idx[s]))
+        });
     }
 }
 

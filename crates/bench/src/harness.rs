@@ -6,8 +6,8 @@
 //! named benchmarks, warm-up, repeated timed samples, a median
 //! nanoseconds-per-iteration report — with nothing but `std::time`.
 //!
-//! Run with `cargo bench -p approxit-bench` (all targets) or pass a
-//! substring to filter: `cargo bench -p approxit-bench -- context_add`.
+//! Run with `cargo bench -p bench` (all targets) or pass a substring
+//! to filter: `cargo bench -p bench -- context_add`.
 
 use std::hint::black_box as std_black_box;
 use std::time::{Duration, Instant};
