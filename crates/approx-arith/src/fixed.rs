@@ -78,7 +78,16 @@ impl QFormat {
     #[must_use]
     #[inline]
     pub fn resolution(&self) -> f64 {
-        f64::from(-(self.frac_bits as i32)).exp2()
+        // The exact reciprocal of a power of two: 2^-frac is a normal f64.
+        1.0 / self.scale()
+    }
+
+    /// `2^frac_bits`, exactly and without libm: `frac_bits < width <= 64`,
+    /// so the shift cannot overflow and the power of two converts to
+    /// `f64` without rounding.
+    #[inline]
+    fn scale(&self) -> f64 {
+        (1u64 << self.frac_bits) as f64
     }
 
     /// Largest representable value.
@@ -108,13 +117,13 @@ impl QFormat {
     /// Precompute the conversion constants (scale factors, saturation
     /// bounds) for this format. [`QFormat::to_raw`] and
     /// [`QFormat::from_raw`] delegate here per call; kernel inner loops
-    /// hoist one [`RawConverter`] and amortize the `exp2` evaluations
-    /// over the whole slice — the results are bit-identical either way.
+    /// hoist one [`RawConverter`] out of the whole slice — the results
+    /// are bit-identical either way.
     #[must_use]
     #[inline]
     pub fn converter(&self) -> RawConverter {
         RawConverter {
-            scale: (self.frac_bits as f64).exp2(),
+            scale: self.scale(),
             inv_scale: self.resolution(),
             max_raw: self.max_raw(),
             min_raw: self.min_raw(),
@@ -301,6 +310,19 @@ mod tests {
         assert_eq!(QFormat::Q31_16.frac_bits(), 16);
         assert_eq!(QFormat::Q31_16.to_string(), "Q31.16");
         assert!((QFormat::Q31_16.resolution() - 1.0 / 65536.0).abs() < 1e-18);
+    }
+
+    #[test]
+    fn scale_constants_equal_libm_powers_of_two_bit_for_bit() {
+        for frac in 0..=63u32 {
+            let q = QFormat::new(64, frac);
+            let c = q.converter();
+            let scale = f64::from(frac).exp2();
+            let inv_scale = f64::from(-(frac as i32)).exp2();
+            assert_eq!(c.scale.to_bits(), scale.to_bits(), "2^{frac}");
+            assert_eq!(c.inv_scale.to_bits(), inv_scale.to_bits(), "2^-{frac}");
+            assert_eq!(q.resolution().to_bits(), inv_scale.to_bits(), "2^-{frac}");
+        }
     }
 
     #[test]

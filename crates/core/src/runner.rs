@@ -103,7 +103,7 @@ impl<'a, M: IterativeMethod, C: ArithContext> RunConfig<'a, M, C> {
     ///
     /// 1. run one step at the current level, metering its energy;
     /// 2. compute the exact monitoring quantities (objective, parameters,
-    ///    gradient — all available "for free" alongside the method);
+    ///    gradient) of the candidate iterate;
     /// 3. check the method's own convergence criterion. A converged iterate
     ///    is accepted if the final step did not increase the objective *and*
     ///    the strategy’s [`ReconfigStrategy::convergence_veto`] allows it — the veto is how a
@@ -272,6 +272,7 @@ fn run_loop<M: IterativeMethod, C: ArithContext>(
             match strategy.convergence_veto(&observation) {
                 None => {
                     state = next;
+                    objective_prev = objective_curr;
                     converged = true;
                     break;
                 }
@@ -341,6 +342,9 @@ fn run_loop<M: IterativeMethod, C: ArithContext>(
         }
     }
 
+    // `objective_prev` is the objective of `state` on every exit path:
+    // the loop updates the two together on a commit, a checkpoint
+    // restore and the converged `break`, and a rollback keeps both.
     let report = RunReport {
         method: method.name().to_owned(),
         strategy: strategy.name().to_owned(),
@@ -352,7 +356,7 @@ fn run_loop<M: IterativeMethod, C: ArithContext>(
         total_energy: ctx.total_energy(),
         energy_per_iteration,
         level_schedule,
-        final_objective: method.objective(&state),
+        final_objective: objective_prev,
         op_counts: ctx.counts(),
         attempts: 1,
         outcome: crate::report::Outcome::classify_run(converged, &recovery),
@@ -674,6 +678,57 @@ mod tests {
         assert_eq!(r.checkpoints_evicted, r.checkpoints_taken - 2);
         // Eviction is routine bookkeeping, not degradation.
         assert_eq!(outcome.report.outcome, crate::report::Outcome::Completed);
+    }
+
+    #[test]
+    fn final_objective_is_the_objective_of_the_final_state() {
+        let check = |report: &RunReport, objective: f64, what: &str| {
+            assert_eq!(
+                report.final_objective.to_bits(),
+                objective.to_bits(),
+                "{what}"
+            );
+        };
+        // Watchdog checkpoint restores (NaN guard trips at Level2).
+        let method = Sabotaged {
+            explode_after: 12,
+            max_iterations: 200,
+        };
+        let mut ctx = QcsContext::with_profile(profile());
+        let config = WatchdogConfig {
+            checkpoint_interval: 2,
+            escalation_threshold: Some(2),
+            ..WatchdogConfig::resilient()
+        };
+        let outcome = RunConfig::new(&method, &mut ctx)
+            .with_watchdog(config)
+            .execute(&mut SingleMode::new(AccuracyLevel::Level2));
+        assert!(outcome.report.recovery.restores > 0);
+        check(
+            &outcome.report,
+            method.objective(&outcome.state),
+            "restores",
+        );
+        // Strategy rollbacks, on a converged run and on one cut short by
+        // a deadline.
+        let d = data();
+        let gmm = GaussianMixture::from_dataset(&d, 1e-7, 500, 7);
+        let table = characterize(&gmm, &profile(), 5);
+        for deadline in [None, Some(12)] {
+            let mut strategy = AdaptiveAngleStrategy::from_characterization(&table, 1);
+            let mut config = RunConfig::new(&gmm, &mut ctx);
+            if let Some(iterations) = deadline {
+                config = config.with_deadline(iterations);
+            }
+            let outcome = config.execute(&mut strategy);
+            assert!(outcome.report.rollbacks > 0, "no rollback ({deadline:?})");
+            assert_eq!(outcome.report.converged, deadline.is_none());
+            check(
+                &outcome.report,
+                gmm.objective(&outcome.state),
+                &format!("rollbacks, deadline {deadline:?}"),
+            );
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! run's assignments.
 
 use approx_arith::ArithContext;
-use approx_linalg::{decomp, stats, Matrix};
+use approx_linalg::{decomp, stats, vector, LinearOperator, Matrix};
 
 use approx_arith::rng::Pcg32;
 
@@ -195,48 +195,87 @@ impl GaussianMixture {
             .collect()
     }
 
+    /// The one exact per-point log-posterior engine behind `objective`,
+    /// `gradient`, `responsibilities`, `assignments` and the E-step.
+    ///
+    /// Computes the precisions once, hoists each component's constant
+    /// `(ln w_c + log_norm) − ½ ln|Σ_c|` out of the point loop, and
+    /// reuses one scratch buffer each for `x − μ_c`, `Σ_c⁻¹(x − μ_c)` and
+    /// the log-posteriors, so the pass allocates nothing per point. For
+    /// each point, in order, `visit(n, x, log_posts, precisions)` receives
+    /// `log_posts[c] = const_c − ½ (x − μ_c)ᵀ Σ_c⁻¹ (x − μ_c)`, with every
+    /// floating-point operation in the same order as the textbook formula
+    /// evaluated point by point.
+    fn e_pass(
+        &self,
+        state: &GmmState,
+        mut visit: impl FnMut(usize, &[f64], &mut [f64], &[(Matrix, f64)]),
+    ) {
+        let precisions = self.precisions(state);
+        let dim = self.points[0].len();
+        let log_norm = -0.5 * dim as f64 * (2.0 * std::f64::consts::PI).ln();
+        let consts: Vec<f64> = precisions
+            .iter()
+            .zip(&state.weights)
+            .map(|((_, logdet), &w)| w.max(1e-300).ln() + log_norm - 0.5 * logdet)
+            .collect();
+        let mut diff = vec![0.0; dim];
+        let mut prec_diff = vec![0.0; dim];
+        let mut log_posts = vec![0.0; self.k];
+        for (n, x) in self.points.iter().enumerate() {
+            for (c, lp) in log_posts.iter_mut().enumerate() {
+                for ((d, &xi), &mi) in diff.iter_mut().zip(x).zip(&state.means[c]) {
+                    *d = xi - mi;
+                }
+                precisions[c].0.apply_exact(&diff, &mut prec_diff);
+                let q = vector::dot_exact(&diff, &prec_diff);
+                *lp = consts[c] - 0.5 * q;
+            }
+            visit(n, x, &mut log_posts, &precisions);
+        }
+    }
+
     /// Exact responsibilities r\[n\]\[k\] (E-step, log-domain).
     #[must_use]
     pub fn responsibilities(&self, state: &GmmState) -> Vec<Vec<f64>> {
-        let precisions = self.precisions(state);
-        let dim = self.points[0].len() as f64;
-        let log_norm = -0.5 * dim * (2.0 * std::f64::consts::PI).ln();
-        self.points
-            .iter()
-            .map(|x| {
-                let log_posts: Vec<f64> = (0..self.k)
-                    .map(|c| {
-                        let (inv, logdet) = &precisions[c];
-                        let diff: Vec<f64> = x
-                            .iter()
-                            .zip(&state.means[c])
-                            .map(|(&xi, &mi)| xi - mi)
-                            .collect();
-                        let q = approx_linalg::vector::dot_exact(&diff, &inv.matvec_exact(&diff));
-                        state.weights[c].max(1e-300).ln() + log_norm - 0.5 * logdet - 0.5 * q
-                    })
-                    .collect();
-                let max = log_posts.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                let exps: Vec<f64> = log_posts.iter().map(|&lp| (lp - max).exp()).collect();
-                let total: f64 = exps.iter().sum();
-                exps.iter().map(|&e| e / total.max(1e-300)).collect()
-            })
-            .collect()
+        let mut resp = Vec::with_capacity(self.points.len());
+        self.e_pass(state, |_, _, log_posts, _| {
+            normalize(log_posts);
+            resp.push(log_posts.to_vec());
+        });
+        resp
     }
 
     /// Hard assignments (argmax responsibility).
     #[must_use]
     pub fn assignments(&self, state: &GmmState) -> Vec<usize> {
-        self.responsibilities(state)
-            .iter()
-            .map(|r| {
-                r.iter()
+        let mut labels = Vec::with_capacity(self.points.len());
+        self.e_pass(state, |_, _, log_posts, _| {
+            normalize(log_posts);
+            labels.push(
+                log_posts
+                    .iter()
                     .enumerate()
                     .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite responsibilities"))
                     .map(|(i, _)| i)
-                    .expect("k > 0")
-            })
-            .collect()
+                    .expect("k > 0"),
+            );
+        });
+        labels
+    }
+}
+
+/// Turn one point's log-posteriors into responsibilities in place:
+/// shift by the maximum, exponentiate, divide by the (floored) total.
+fn normalize(log_posts: &mut [f64]) {
+    let max = log_posts.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    for lp in log_posts.iter_mut() {
+        *lp = (*lp - max).exp();
+    }
+    let total: f64 = log_posts.iter().sum();
+    let denom = total.max(1e-300);
+    for r in log_posts.iter_mut() {
+        *r /= denom;
     }
 }
 
@@ -252,20 +291,27 @@ impl IterativeMethod for GaussianMixture {
     }
 
     fn step(&self, state: &GmmState, ctx: &mut dyn ArithContext) -> GmmState {
-        // E-step: exact (error-sensitive — drives all control flow).
-        let resp = self.responsibilities(state);
-        let n = self.points.len() as f64;
+        // E-step: exact (error-sensitive — drives all control flow),
+        // written straight into one responsibility column per component.
+        let n_points = self.points.len();
+        let mut columns = vec![vec![0.0; n_points]; self.k];
+        self.e_pass(state, |n, _, log_posts, _| {
+            normalize(log_posts);
+            for (column, &r) in columns.iter_mut().zip(log_posts.iter()) {
+                column[n] = r;
+            }
+        });
+        let n = n_points as f64;
         let mut means = Vec::with_capacity(self.k);
         let mut covariances = Vec::with_capacity(self.k);
         let mut weights = Vec::with_capacity(self.k);
-        for c in 0..self.k {
-            let rc: Vec<f64> = resp.iter().map(|r| r[c]).collect();
+        for (c, rc) in columns.iter().enumerate() {
             let nk: f64 = rc.iter().sum();
             // M-step mean: the approximate datapath (paper Table 2).
-            let mean = stats::weighted_mean(ctx, &self.points, &rc)
+            let mean = stats::weighted_mean(ctx, &self.points, rc)
                 .unwrap_or_else(|| state.means[c].clone());
             // Covariance and weight: exact.
-            let cov = stats::covariance_exact(&self.points, &mean, Some(&rc), self.ridge);
+            let cov = stats::covariance_exact(&self.points, &mean, Some(rc), self.ridge);
             means.push(mean);
             covariances.push(cov);
             weights.push((nk / n).max(1e-12));
@@ -284,24 +330,9 @@ impl IterativeMethod for GaussianMixture {
 
     /// Mean negative log-likelihood (exact).
     fn objective(&self, state: &GmmState) -> f64 {
-        let precisions = self.precisions(state);
-        let dim = self.points[0].len() as f64;
-        let log_norm = -0.5 * dim * (2.0 * std::f64::consts::PI).ln();
         let mut nll = 0.0;
-        for x in &self.points {
-            let log_posts: Vec<f64> = (0..self.k)
-                .map(|c| {
-                    let (inv, logdet) = &precisions[c];
-                    let diff: Vec<f64> = x
-                        .iter()
-                        .zip(&state.means[c])
-                        .map(|(&xi, &mi)| xi - mi)
-                        .collect();
-                    let q = approx_linalg::vector::dot_exact(&diff, &inv.matvec_exact(&diff));
-                    state.weights[c].max(1e-300).ln() + log_norm - 0.5 * logdet - 0.5 * q
-                })
-                .collect();
-            let max = log_posts.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        self.e_pass(state, |_, _, log_posts, _| {
+            let max = log_posts.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             let lse = max
                 + log_posts
                     .iter()
@@ -309,35 +340,33 @@ impl IterativeMethod for GaussianMixture {
                     .sum::<f64>()
                     .ln();
             nll -= lse;
-        }
+        });
         nll / self.points.len() as f64
     }
 
     /// Gradient of the mean NLL with respect to the flattened means:
-    /// `∂/∂μ_c = (1/N) Σ_n r_{nc} Σ_c⁻¹ (μ_c − x_n)`.
+    /// `∂/∂μ_c = (1/N) Σ_n r_{nc} Σ_c⁻¹ (μ_c − x_n)`, accumulated per
+    /// component in point order during the same E-pass that yields the
+    /// responsibilities.
     fn gradient(&self, state: &GmmState) -> Option<Vec<f64>> {
-        let resp = self.responsibilities(state);
-        let precisions = self.precisions(state);
         let dim = self.points[0].len();
         let n = self.points.len() as f64;
-        let mut grad = Vec::with_capacity(self.k * dim);
-        for c in 0..self.k {
-            let (inv, _) = &precisions[c];
-            let mut acc = vec![0.0; dim];
-            for (x, r) in self.points.iter().zip(&resp) {
-                let diff: Vec<f64> = state.means[c]
-                    .iter()
-                    .zip(x)
-                    .map(|(&mi, &xi)| mi - xi)
-                    .collect();
-                let v = inv.matvec_exact(&diff);
-                for (a, vi) in acc.iter_mut().zip(&v) {
-                    *a += r[c] * vi;
+        let mut acc = vec![0.0; self.k * dim];
+        let mut diff = vec![0.0; dim];
+        let mut prec_diff = vec![0.0; dim];
+        self.e_pass(state, |_, x, log_posts, precisions| {
+            normalize(log_posts);
+            for (c, (&r, acc_c)) in log_posts.iter().zip(acc.chunks_exact_mut(dim)).enumerate() {
+                for ((d, &mi), &xi) in diff.iter_mut().zip(&state.means[c]).zip(x) {
+                    *d = mi - xi;
+                }
+                precisions[c].0.apply_exact(&diff, &mut prec_diff);
+                for (a, &v) in acc_c.iter_mut().zip(&prec_diff) {
+                    *a += r * v;
                 }
             }
-            grad.extend(acc.iter().map(|a| a / n));
-        }
-        Some(grad)
+        });
+        Some(acc.iter().map(|a| a / n).collect())
     }
 
     fn params(&self, state: &GmmState) -> Vec<f64> {
